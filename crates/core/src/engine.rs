@@ -10,7 +10,7 @@ use mood_attacks::{
     ApAttack, Attack, AttackScratch, AttackSuite, PitAttack, PoiAttack, ProfileStore, StoreCounters,
 };
 use mood_lppm::{enumerate_compositions, Composition, GeoI, Hmc, Lppm, Trl};
-use mood_metrics::spatio_temporal_distortion;
+use mood_metrics::spatio_temporal_distortion_bounded;
 use mood_trace::{Dataset, Record, Trace};
 
 use crate::exec::{self, CandidateJob, Executor, SequentialExecutor};
@@ -614,11 +614,20 @@ impl MoodEngine {
     /// buffer back to the scratch for the next candidate; only a
     /// resilient candidate (the rare case) keeps its buffer, inside the
     /// returned [`ProtectedTrace`].
+    ///
+    /// With an `incumbent` — the bits of the smallest distortion a
+    /// resilient candidate of the same batch has completed, shared by
+    /// the batch's workers — a resilient candidate's distortion is
+    /// abandoned as soon as it is strictly worse, and the candidate is
+    /// dropped (`None`) like a rejected one; a completed distortion
+    /// lowers the incumbent. Every candidate still gets its attack
+    /// verdict first.
     fn evaluate_candidate(
         &self,
         trace: &Trace,
         job: CandidateJob<'_>,
         scratch: &mut CandidateScratch,
+        incumbent: Option<&AtomicU64>,
     ) -> Option<ProtectedTrace> {
         scratch.rng = self.variant_rng(trace, job.variant_idx);
         let mut buf = std::mem::take(&mut scratch.records);
@@ -646,7 +655,17 @@ impl MoodEngine {
             scratch.records = candidate.into_records();
             return None;
         }
-        let distortion = spatio_temporal_distortion(trace, &candidate);
+        // Distortions are non-negative, so their bits order like their
+        // values and `fetch_min` on the bits keeps the smallest.
+        let bound = incumbent.map_or(f64::INFINITY, |best| {
+            f64::from_bits(best.load(Ordering::Relaxed))
+        });
+        // A pruned candidate's buffer is dropped, as a losing resilient
+        // candidate's is, rather than recycled into the scratch.
+        let distortion = spatio_temporal_distortion_bounded(trace, &candidate, bound)?;
+        if let Some(best) = incumbent {
+            best.fetch_min(distortion.to_bits(), Ordering::Relaxed);
+        }
         Some(ProtectedTrace {
             trace: candidate,
             lppm: job.lppm.name().to_string(),
@@ -657,7 +676,8 @@ impl MoodEngine {
     /// Submits every candidate job to the engine's executor and returns
     /// the verdicts in job order — independent of backend and thread
     /// count, since each job's randomness is a pure function of its
-    /// variant index.
+    /// variant index. Every resilient job is reported, with its full
+    /// distortion; only [`MoodEngine`]'s own selection prunes.
     ///
     /// Each worker slot evaluates its candidates on a scratch arena
     /// leased from the engine's recycling pool, so the hot path reuses
@@ -668,6 +688,18 @@ impl MoodEngine {
         trace: &Trace,
         jobs: &[CandidateJob<'_>],
     ) -> Vec<Option<ProtectedTrace>> {
+        self.evaluate_batch(trace, jobs, None)
+    }
+
+    /// [`MoodEngine::evaluate_candidates`], optionally sharing an
+    /// incumbent distortion between the batch's workers (see
+    /// [`MoodEngine::evaluate_candidate`]).
+    fn evaluate_batch(
+        &self,
+        trace: &Trace,
+        jobs: &[CandidateJob<'_>],
+        incumbent: Option<&AtomicU64>,
+    ) -> Vec<Option<ProtectedTrace>> {
         // One aggregated observation for the whole batch (count =
         // candidates), never a per-candidate span: overhead stays
         // bounded by batch count, not candidate count.
@@ -676,7 +708,7 @@ impl MoodEngine {
                 self.executor.as_ref(),
                 jobs.len(),
                 || self.scratch.take(),
-                |lease, i| self.evaluate_candidate(trace, jobs[i], lease.scratch_mut()),
+                |lease, i| self.evaluate_candidate(trace, jobs[i], lease.scratch_mut(), incumbent),
             )
         })
     }
@@ -701,6 +733,14 @@ impl MoodEngine {
     /// is what the sequential reference scan selected). Variant indices
     /// offset by `idx_base` keep single and composition RNG streams
     /// disjoint.
+    ///
+    /// The batch's workers share the smallest completed resilient
+    /// distortion as an incumbent, and a resilient candidate stops
+    /// computing its distortion once it is strictly worse. The winner
+    /// is never strictly worse than any incumbent, so its distortion is
+    /// always computed in full, and a tie is never pruned: the choice
+    /// and its published bytes are those of a full scan, under any
+    /// schedule.
     fn best_resilient<'a, I>(
         &self,
         trace: &Trace,
@@ -729,7 +769,8 @@ impl MoodEngine {
             budget.exhausted = true;
         }
         budget.remaining -= allowed;
-        self.evaluate_candidates(trace, &jobs[..allowed])
+        let incumbent = AtomicU64::new(f64::INFINITY.to_bits());
+        self.evaluate_batch(trace, &jobs[..allowed], Some(&incumbent))
             .into_iter()
             .enumerate()
             .filter_map(|(i, verdict)| verdict.map(|p| (i, p)))
@@ -758,7 +799,8 @@ impl MoodEngine {
     ///
     /// Note: the paper's line 26 reads `argmax M`; we interpret `M`
     /// uniformly as a distortion to minimize (the paper's own §3.5:
-    /// "the lower the distortion the better"). See DESIGN.md.
+    /// "the lower the distortion the better"), for singles and
+    /// compositions alike.
     pub fn search_composition(&self, trace: &Trace) -> Option<ProtectedTrace> {
         self.search_composition_in(trace, &mut BudgetState::unlimited())
     }
@@ -914,6 +956,8 @@ fn mix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecutorKind;
+    use mood_metrics::spatio_temporal_distortion;
     use mood_trace::{TimeDelta, UserId};
 
     fn mini_world() -> (Dataset, Dataset) {
@@ -1332,6 +1376,71 @@ mod tests {
             let resilient = engine.suite().protects(&cand, trace.user());
             assert_eq!(v.is_some(), resilient, "variant {i}");
         }
+    }
+
+    #[test]
+    fn incumbent_pruning_selects_what_an_unpruned_scan_selects() {
+        let (bg, test) = mini_world();
+        let sequential = MoodEngine::paper_default(&bg);
+        let parallel = EngineBuilder::paper_default(&bg)
+            .executor(ExecutorKind::Persistent.build(2))
+            .build()
+            .unwrap();
+        let mut pruned = 0;
+        for engine in [&sequential, &parallel] {
+            let singles: Vec<&dyn Lppm> = engine.lppms().iter().map(|l| l as &dyn Lppm).collect();
+            let compositions: Vec<&dyn Lppm> = engine
+                .compositions()
+                .iter()
+                .map(|c| c as &dyn Lppm)
+                .collect();
+            for trace in test.iter().take(4) {
+                for (variants, idx_base) in [(&singles, 0), (&compositions, singles.len())] {
+                    let jobs: Vec<CandidateJob<'_>> = variants
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &lppm)| CandidateJob {
+                            variant_idx: idx_base + i,
+                            lppm,
+                        })
+                        .collect();
+                    // The public batch prunes nothing: every resilient
+                    // job is reported, in job order, with its full STD.
+                    let full = engine.evaluate_candidates(trace, &jobs);
+                    assert_eq!(full.len(), jobs.len());
+                    for p in full.iter().flatten() {
+                        assert_eq!(
+                            p.distortion_m.to_bits(),
+                            spatio_temporal_distortion(trace, &p.trace).to_bits()
+                        );
+                    }
+                    let resilient = full.iter().flatten().count();
+                    let want = full
+                        .into_iter()
+                        .enumerate()
+                        .filter_map(|(i, v)| v.map(|p| (i, p)))
+                        .min_by(|(ia, a), (ib, b)| {
+                            a.distortion_m
+                                .total_cmp(&b.distortion_m)
+                                .then_with(|| ia.cmp(ib))
+                        })
+                        .map(|(_, p)| p);
+                    let got = engine.best_resilient(
+                        trace,
+                        variants.iter().copied(),
+                        idx_base,
+                        &mut BudgetState::unlimited(),
+                    );
+                    let key = |p: ProtectedTrace| (p.lppm, p.distortion_m.to_bits(), p.trace);
+                    assert_eq!(got.map(key), want.map(key), "user {}", trace.user());
+
+                    let incumbent = AtomicU64::new(f64::INFINITY.to_bits());
+                    let kept = engine.evaluate_batch(trace, &jobs, Some(&incumbent));
+                    pruned += resilient - kept.iter().flatten().count();
+                }
+            }
+        }
+        assert!(pruned > 0, "the mini world never exercised pruning");
     }
 
     #[test]

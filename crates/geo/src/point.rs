@@ -63,12 +63,34 @@ impl GeoPoint {
     /// # Ok::<(), mood_geo::GeoError>(())
     /// ```
     pub fn haversine_distance(&self, other: &GeoPoint) -> f64 {
-        let (lat1, lng1) = (self.lat.to_radians(), self.lng.to_radians());
-        let (lat2, lng2) = (other.lat.to_radians(), other.lng.to_radians());
-        let dlat = lat2 - lat1;
-        let dlng = lng2 - lng1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlng / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
+        Self::haversine_lanes(&[*self], &[*other])[0]
+    }
+
+    /// [`GeoPoint::haversine_distance`] from `a[i]` to `b[i]` for `N`
+    /// independent pairs.
+    ///
+    /// The formula runs one stage at a time across the lanes, so the
+    /// lanes' `sin`, `cos` and `asin` calls overlap instead of queueing
+    /// behind one another. Each distance is bit-identical to the
+    /// one-pair call, which is the `N = 1` case.
+    pub fn haversine_lanes<const N: usize>(a: &[GeoPoint; N], b: &[GeoPoint; N]) -> [f64; N] {
+        let lat1 = a.map(|p| p.lat.to_radians());
+        let lat2 = b.map(|p| p.lat.to_radians());
+        let mut sin_half_dlat = [0.0; N];
+        let mut sin_half_dlng = [0.0; N];
+        for i in 0..N {
+            sin_half_dlat[i] = ((lat2[i] - lat1[i]) / 2.0).sin();
+        }
+        for i in 0..N {
+            let dlng = b[i].lng.to_radians() - a[i].lng.to_radians();
+            sin_half_dlng[i] = (dlng / 2.0).sin();
+        }
+        let cos1 = lat1.map(f64::cos);
+        let cos2 = lat2.map(f64::cos);
+        std::array::from_fn(|i| {
+            let h = sin_half_dlat[i].powi(2) + cos1[i] * cos2[i] * sin_half_dlng[i].powi(2);
+            2.0 * EARTH_RADIUS_M * h.sqrt().asin()
+        })
     }
 
     /// Fast equirectangular approximation of the distance to `other` in
@@ -380,7 +402,40 @@ mod proptests {
         (-80.0f64..80.0, -179.0f64..179.0).prop_map(|(lat, lng)| GeoPoint::new(lat, lng).unwrap())
     }
 
+    /// The one-pair haversine as it stood before the lanes, kept
+    /// verbatim as the bit-exactness oracle.
+    fn haversine_oracle(p: &GeoPoint, q: &GeoPoint) -> f64 {
+        let (lat1, lng1) = (p.lat.to_radians(), p.lng.to_radians());
+        let (lat2, lng2) = (q.lat.to_radians(), q.lng.to_radians());
+        let dlat = lat2 - lat1;
+        let dlng = lng2 - lng1;
+        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlng / 2.0).sin().powi(2);
+        2.0 * EARTH_RADIUS_M * a.sqrt().asin()
+    }
+
     proptest! {
+        #[test]
+        fn haversine_lanes_match_the_one_pair_oracle_bit_for_bit(
+            pairs in proptest::collection::vec((arb_point(), arb_point()), 8..9)
+        ) {
+            let a: [GeoPoint; 8] = std::array::from_fn(|i| pairs[i].0);
+            // Half the lanes measure city-scale offsets, as STD does.
+            let b: [GeoPoint; 8] = std::array::from_fn(|i| {
+                if i % 2 == 0 {
+                    pairs[i].1
+                } else {
+                    let d = (pairs[i].1.lat - pairs[i].0.lat) * 1e-3;
+                    GeoPoint::new(pairs[i].0.lat + d, pairs[i].0.lng - d).unwrap()
+                }
+            });
+            let lanes = GeoPoint::haversine_lanes(&a, &b);
+            for i in 0..8 {
+                let want = haversine_oracle(&a[i], &b[i]).to_bits();
+                prop_assert_eq!(lanes[i].to_bits(), want);
+                prop_assert_eq!(a[i].haversine_distance(&b[i]).to_bits(), want);
+            }
+        }
+
         #[test]
         fn distance_nonnegative(a in arb_point(), b in arb_point()) {
             prop_assert!(a.haversine_distance(&b) >= 0.0);

@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use mood_geo::GeoPoint;
 use mood_trace::Trace;
 
 /// Spatio-temporal distortion (paper Eq. 8, from the HMC paper \[23\]).
@@ -16,6 +17,10 @@ use mood_trace::Trace;
 ///
 /// Lower is better; `STD(T, T) = 0`.
 ///
+/// Both traces are time-sorted, so the projections are found in one
+/// merge walk over them ([`Trace::interpolate_forward`]). This is
+/// [`spatio_temporal_distortion_bounded`] with an infinite bound.
+///
 /// # Examples
 ///
 /// ```
@@ -31,13 +36,55 @@ use mood_trace::Trace;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn spatio_temporal_distortion(original: &Trace, obfuscated: &Trace) -> f64 {
-    let mut sum = 0.0;
-    for r in obfuscated.records() {
-        let projected = original.interpolate_at(r.time());
-        sum += projected.haversine_distance(&r.point());
-    }
-    sum / obfuscated.len() as f64
+    spatio_temporal_distortion_bounded(original, obfuscated, f64::INFINITY)
+        .expect("no mean exceeds an infinite bound")
 }
+
+/// [`spatio_temporal_distortion`], abandoned as soon as it provably
+/// exceeds `bound`.
+///
+/// Returns `Some` with exactly the bits of the unbounded STD when that
+/// value is at most `bound` (or NaN), and `None` when it is greater.
+///
+/// STD is a mean of non-negative distances summed in record order, and
+/// adding a non-negative term never lowers a floating-point sum, so
+/// each running sum divided by `|T'|` is a lower bound of the final
+/// mean. The walk stops at the first running mean above `bound`
+/// (tested once per block of eight records). A
+/// candidate search passes the best STD completed so far: a candidate
+/// that can only lose stops early, while one that ties or wins is
+/// computed in full.
+pub fn spatio_temporal_distortion_bounded(
+    original: &Trace,
+    obfuscated: &Trace,
+    bound: f64,
+) -> Option<f64> {
+    let n = obfuscated.len() as f64;
+    let mut cursor = 0;
+    let mut sum = 0.0;
+    // Blocks of records: project the block, measure its distances in
+    // lockstep, then add them in record order and test the bound.
+    for block in obfuscated.records().chunks(LANES) {
+        // Unused tail lanes measure a dummy pair that is never added.
+        let mut projected = [block[0].point(); LANES];
+        let mut points = projected;
+        for (i, r) in block.iter().enumerate() {
+            projected[i] = original.interpolate_forward(r.time(), &mut cursor);
+            points[i] = r.point();
+        }
+        let distances = GeoPoint::haversine_lanes(&projected, &points);
+        for d in &distances[..block.len()] {
+            sum += d;
+        }
+        if sum / n > bound {
+            return None;
+        }
+    }
+    Some(sum / n)
+}
+
+/// Records whose distances are measured together.
+const LANES: usize = 8;
 
 /// The four utility bands of the paper's Figure 9, classifying a user's
 /// STD value.
@@ -236,7 +283,143 @@ mod proptests {
         )
     }
 
+    /// The STD as it stood before the merge walk — one binary search
+    /// per obfuscated record — kept verbatim as the bit-exactness
+    /// oracle.
+    fn std_oracle(original: &Trace, obfuscated: &Trace) -> f64 {
+        let interpolate_at = |t: Timestamp| {
+            let records = original.records();
+            if t <= original.start_time() {
+                return records[0].point();
+            }
+            if t >= original.end_time() {
+                return records[records.len() - 1].point();
+            }
+            let i = records.partition_point(|r| r.time() < t);
+            let before = &records[i - 1];
+            let after = &records[i];
+            let span = after.time().since(before.time()).as_secs();
+            if span == 0 {
+                return before.point();
+            }
+            let f = t.since(before.time()).as_secs() as f64 / span as f64;
+            before.point().lerp(&after.point(), f)
+        };
+        let mut sum = 0.0;
+        for r in obfuscated.records() {
+            let projected = interpolate_at(r.time());
+            sum += projected.haversine_distance(&r.point());
+        }
+        sum / obfuscated.len() as f64
+    }
+
+    /// Traces whose timestamps may repeat (step 0), starting anywhere in
+    /// `[−4000, 4000)`: against another such trace, records fall before,
+    /// inside and after the original's time span.
+    fn arb_trace_with_duplicates() -> impl Strategy<Value = Trace> {
+        (
+            -4_000i64..4_000,
+            proptest::collection::vec((0i64..3, 0i64..400, -0.2f64..0.2, -0.2f64..0.2), 1..60),
+        )
+            .prop_map(|(start, tuples)| {
+                let mut t_acc = start;
+                let records: Vec<Record> = tuples
+                    .into_iter()
+                    .map(|(repeat, dt, dlat, dlng)| {
+                        // One step in three repeats the previous instant.
+                        if repeat > 0 {
+                            t_acc += dt;
+                        }
+                        Record::new(
+                            GeoPoint::new(46.0 + dlat, 6.0 + dlng).unwrap(),
+                            Timestamp::from_unix(t_acc),
+                        )
+                    })
+                    .collect();
+                Trace::new(UserId::new(1), records).unwrap()
+            })
+    }
+
+    /// TRL's shape: three assisted records per original record, sharing
+    /// its timestamp, scattered around it.
+    fn trl_triples(trace: &Trace, offsets: &[(f64, f64)]) -> Trace {
+        let records: Vec<Record> = trace
+            .records()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, r)| {
+                (0..3).map(move |k| {
+                    let (dlat, dlng) = offsets[(3 * i + k) % offsets.len()];
+                    let p = r.point();
+                    r.with_point(GeoPoint::new(p.lat() + dlat, p.lng() + dlng).unwrap())
+                })
+            })
+            .collect();
+        Trace::new(trace.user(), records).unwrap()
+    }
+
+    /// Bounds on both sides of `v`, including `v` itself and its
+    /// neighbouring floats, where an off-by-one-ulp prune would show.
+    fn bounds_around(v: f64) -> Vec<f64> {
+        let mut bounds = vec![0.0, v, v * 0.5, v * 2.0, f64::INFINITY];
+        if v > 0.0 {
+            bounds.push(f64::from_bits(v.to_bits() - 1));
+        }
+        bounds.push(f64::from_bits(v.to_bits() + 1));
+        bounds
+    }
+
+    fn assert_bounded_matches(a: &Trace, b: &Trace) {
+        let v = std_oracle(a, b);
+        for bound in bounds_around(v) {
+            let got = spatio_temporal_distortion_bounded(a, b, bound);
+            if v <= bound {
+                assert_eq!(got.map(f64::to_bits), Some(v.to_bits()), "bound {bound}");
+            } else {
+                assert_eq!(got, None, "v = {v}, bound {bound}");
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn merge_walk_matches_the_binary_search_oracle(
+            a in arb_trace_with_duplicates(),
+            b in arb_trace_with_duplicates()
+        ) {
+            prop_assert_eq!(
+                spatio_temporal_distortion(&a, &b).to_bits(),
+                std_oracle(&a, &b).to_bits()
+            );
+            prop_assert_eq!(
+                spatio_temporal_distortion(&a, &a).to_bits(),
+                std_oracle(&a, &a).to_bits()
+            );
+        }
+
+        #[test]
+        fn merge_walk_matches_the_oracle_on_trl_triples(
+            a in arb_trace_with_duplicates(),
+            offsets in proptest::collection::vec((-0.01f64..0.01, -0.01f64..0.01), 1..30)
+        ) {
+            let b = trl_triples(&a, &offsets);
+            prop_assert_eq!(
+                spatio_temporal_distortion(&a, &b).to_bits(),
+                std_oracle(&a, &b).to_bits()
+            );
+        }
+
+        #[test]
+        fn bounded_std_is_exact_within_the_bound_and_none_beyond(
+            a in arb_trace_with_duplicates(),
+            b in arb_trace_with_duplicates(),
+            offsets in proptest::collection::vec((-0.01f64..0.01, -0.01f64..0.01), 1..30)
+        ) {
+            assert_bounded_matches(&a, &b);
+            assert_bounded_matches(&a, &trl_triples(&a, &offsets));
+            assert_bounded_matches(&a, &a);
+        }
+
         #[test]
         fn std_nonnegative(a in arb_trace(), b in arb_trace()) {
             prop_assert!(spatio_temporal_distortion(&a, &b) >= 0.0);

@@ -230,16 +230,30 @@ impl Trace {
     /// Instants before the first or after the last record clamp to the
     /// nearest record's position.
     pub fn interpolate_at(&self, t: Timestamp) -> GeoPoint {
+        let mut cursor = self.records.partition_point(|r| r.time() < t);
+        self.interpolate_forward(t, &mut cursor)
+    }
+
+    /// [`Trace::interpolate_at`] for query instants that never decrease
+    /// from one call to the next, as when walking another time-sorted
+    /// trace: `cursor` (start it at 0 and pass it back unchanged) only
+    /// moves forward, so a whole walk costs one merge pass over this
+    /// trace instead of one binary search per instant. The result is
+    /// bit-identical to `interpolate_at(t)`.
+    pub fn interpolate_forward(&self, t: Timestamp, cursor: &mut usize) -> GeoPoint {
         if t <= self.start_time() {
             return self.records[0].point();
         }
         if t >= self.end_time() {
             return self.records[self.records.len() - 1].point();
         }
-        // First record with time >= t; i >= 1 because t > start_time.
-        let i = self.records.partition_point(|r| r.time() < t);
-        let before = &self.records[i - 1];
-        let after = &self.records[i];
+        // First record with time >= t; i >= 1 because t > start_time,
+        // and i < len because t < end_time.
+        while self.records[*cursor].time() < t {
+            *cursor += 1;
+        }
+        let before = &self.records[*cursor - 1];
+        let after = &self.records[*cursor];
         let span = after.time().since(before.time()).as_secs();
         if span == 0 {
             return before.point();
