@@ -12,7 +12,8 @@ use crate::{
 /// distance, the average of a *stationary* distance and a *proximity*
 /// distance (the combination the original paper found most effective).
 ///
-/// Our stats-prox rendition (documented in DESIGN.md):
+/// Our stats-prox rendition, with both distances in meters so that
+/// they can be averaged:
 ///
 /// * **stationary** — Σᵢ π_a(i) · d(state_aᵢ, nearest state of b): the
 ///   expected geographic distance from where the anonymous chain spends
@@ -22,7 +23,7 @@ use crate::{
 ///   the two chains (states are ordered by weight): Σₖ d(aₖ, bₖ)/(k+1)
 ///   normalised by Σₖ 1/(k+1), over the common top-5 ranks.
 ///
-/// Both terms are in meters; stats-prox is their mean. The attack
+/// Stats-prox is the mean of the two terms. The attack
 /// abstains when the anonymous trace yields an empty chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PitAttack {

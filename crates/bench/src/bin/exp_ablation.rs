@@ -1,5 +1,6 @@
-//! Ablations beyond the paper: the design-choice sweeps DESIGN.md calls
-//! out, run on the Privamov stand-in (the most vulnerable dataset):
+//! Ablations beyond the paper: sweeps of design choices the paper fixes
+//! at one setting, run on the Privamov stand-in (the most vulnerable
+//! dataset):
 //!
 //! * composition length cap (1 / 2 / 3) — how much of MooD's power comes
 //!   from deeper chains;

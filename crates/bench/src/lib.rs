@@ -9,7 +9,8 @@
 //! * [`run_figures`] — the full per-dataset evaluation: every mechanism
 //!   bar (no-LPPM, Geo-I, TRL, HMC, HybridLPPM, MooD) with non-protected
 //!   user counts, data loss, and distortion bands;
-//! * serializable result rows for EXPERIMENTS.md.
+//! * serializable result rows, which the binaries write as JSON under
+//!   `results/`.
 //!
 //! Experiments accept a `scale` factor (1.0 = paper-scale synthetic
 //! datasets; smaller for quick runs and CI).

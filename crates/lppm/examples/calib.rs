@@ -3,7 +3,10 @@
 //! Prints, per dataset, the number of users re-identified by the
 //! three-attack union and by AP-Attack alone, for each single mechanism.
 //! This is the tool used to calibrate the synthetic presets against the
-//! paper's Figures 2/6/7 (see DESIGN.md §3 and EXPERIMENTS.md).
+//! paper's Figures 2/6/7. The presets are tuned to reproduce the
+//! figures' orderings (which mechanism defeats which attack), not their
+//! absolute counts, which depend on the real datasets;
+//! `tests/attack_lppm_matrix.rs` asserts those orderings.
 //!
 //! Run with: `cargo run --release -p mood-lppm --example calib [scale]`
 

@@ -14,7 +14,7 @@ use crate::Lppm;
 ///
 /// HMC represents the trace as a heatmap, alters it to *look like another
 /// user's* (the **decoy**), and materializes the altered heatmap back
-/// into a trace. Our rendition (design rationale in DESIGN.md):
+/// into a trace. Our rendition, each step with the reason for it:
 ///
 /// 1. the decoy is the background user whose heatmap has the smallest
 ///    Topsoe divergence from the trace's own heatmap (most confusable

@@ -2,8 +2,10 @@
 //! evaluation that must hold on the synthetic stand-ins.
 //!
 //! These tests run on a reduced privamov-like dataset (the paper's most
-//! vulnerable one) and assert *orderings*, not absolute numbers — the
-//! calibration contract documented in DESIGN.md §3.
+//! vulnerable one) and assert *orderings*, not absolute numbers. That is
+//! the calibration contract: the synthetic presets are tuned (with
+//! `cargo run --release -p mood-lppm --example calib`) to reproduce the
+//! paper's orderings, since absolute counts depend on the real datasets.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,8 +117,9 @@ fn hmc_defeats_the_heatmap_attack_it_targets() {
     let hmc = Hmc::paper_default(&train);
     let protected = protect_all(&test, &hmc);
     let after = ap_suite.evaluate(&protected).non_protected_count();
-    // HMC at confusion 0.55 is deliberately imperfect (DESIGN.md); it
-    // must still remove at least a quarter of the AP re-identifications.
+    // HMC at confusion 0.55 is deliberately imperfect: runs that stay in
+    // place keep part of the user's own heatmap (see `Hmc`). It must
+    // still remove at least a quarter of the AP re-identifications.
     assert!(
         after * 4 <= raw * 3 && after < raw,
         "HMC only reduced AP hits from {raw} to {after}"
