@@ -247,8 +247,8 @@ impl Trace {
         if t >= self.end_time() {
             return self.records[self.records.len() - 1].point();
         }
-        // First record with time >= t; i >= 1 because t > start_time,
-        // and i < len because t < end_time.
+        // The cursor stops at the first record with time >= t: past
+        // index 0 because t > start_time, before len because t < end_time.
         while self.records[*cursor].time() < t {
             *cursor += 1;
         }
