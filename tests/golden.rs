@@ -9,12 +9,20 @@
 //! scale, protected by the `paper_default` engine on the sequential
 //! executor and on persistent pools of two threads.
 //!
+//! Two narrower digests ride along with each case: the per-user class
+//! vector (the orphan taxonomy of Figs. 6/7) and the records of every
+//! whole-trace single-LPPM outcome. A change may move the CSV and
+//! report digests while these two stay put — a change to how
+//! compositions draw their noise, for one, alters only what
+//! multi-LPPM and fine-grained users publish.
+//!
 //! A change that alters a digest alters what MooD publishes. Such a
 //! change updates the digest in the same commit and says why in
 //! CHANGES.md; a refactor or an optimisation never touches this file.
 
 use mood_core::{
-    protect_dataset_with, publish, EngineBuilder, ExecutorKind, MoodEngine, ProtectionReport,
+    protect_dataset_with, publish, EngineBuilder, ExecutorKind, MoodEngine, ProtectionOutcome,
+    ProtectionReport,
 };
 use mood_synth::{presets, DatasetSpec};
 use mood_trace::{io as trace_io, TimeDelta};
@@ -26,23 +34,56 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Digests of the two files `mood protect --out --report` writes.
-fn output_digests(report: &ProtectionReport) -> (u64, u64) {
+/// The committed digests of one corpus's protection.
+#[derive(Debug, PartialEq)]
+struct Digests {
+    /// The published CSV `mood protect --out` writes.
+    csv: u64,
+    /// The pretty-printed report JSON `mood protect --report` writes.
+    report: u64,
+    /// Every user's class, in report order.
+    classes: u64,
+    /// `(user, lppm name, records)` of every whole-trace outcome whose
+    /// winner is a single LPPM, in report order.
+    singles: u64,
+}
+
+fn output_digests(report: &ProtectionReport) -> Digests {
     let (published, _) = publish(report.outcomes());
     let mut csv = Vec::new();
     trace_io::write_csv(&published, &mut csv).expect("in-memory CSV");
     let json = serde_json::to_string_pretty(&report.summary()).expect("serializable summary");
-    (fnv1a64(&csv), fnv1a64(json.as_bytes()))
+    let mut classes = Vec::new();
+    let mut singles = Vec::new();
+    for outcome in report.outcomes() {
+        classes.extend_from_slice(format!("{}\t{}\n", outcome.user, outcome.class).as_bytes());
+        if let ProtectionOutcome::Whole(p) = &outcome.outcome {
+            if !p.lppm.contains('→') {
+                singles.extend_from_slice(format!("{}\t{}\n", outcome.user, p.lppm).as_bytes());
+                for r in p.trace.records() {
+                    singles.extend_from_slice(&r.point().lat().to_bits().to_le_bytes());
+                    singles.extend_from_slice(&r.point().lng().to_bits().to_le_bytes());
+                    singles.extend_from_slice(&r.time().as_unix().to_le_bytes());
+                }
+            }
+        }
+    }
+    Digests {
+        csv: fnv1a64(&csv),
+        report: fnv1a64(json.as_bytes()),
+        classes: fnv1a64(&classes),
+        singles: fnv1a64(&singles),
+    }
 }
 
 /// One pinned corpus: a preset at a scale and master seed, and the
-/// committed `(csv, report)` digests of its protection.
+/// committed digests of its protection.
 struct Case {
     spec: DatasetSpec,
-    digests: (u64, u64),
+    digests: Digests,
 }
 
-/// Between them the two corpora (12 and 14 users) reach every
+/// One case per synth preset. Between them the corpora reach every
 /// non-orphan class: naturally protected, single-LPPM, multi-LPPM and
 /// fine-grained.
 fn cases() -> Vec<Case> {
@@ -54,11 +95,39 @@ fn cases() -> Vec<Case> {
     vec![
         Case {
             spec: seeded(presets::privamov_like(), 0.3, 1),
-            digests: (0x5d07e73a0d96a24c, 0xf89306d9f202a06a),
+            digests: Digests {
+                csv: 0x5d07e73a0d96a24c,
+                report: 0xf89306d9f202a06a,
+                classes: 0x4ea4297d77f7af6f,
+                singles: 0x5d371d6b6027484d,
+            },
         },
         Case {
             spec: seeded(presets::mdc_like(), 0.1, 2),
-            digests: (0x13df6cfcf2fba849, 0x2bc9fbd8fd0e9ce1),
+            digests: Digests {
+                csv: 0x13df6cfcf2fba849,
+                report: 0x2bc9fbd8fd0e9ce1,
+                classes: 0x64f93d03a4fb08ba,
+                singles: 0x2f2ccc76b8cd4dd6,
+            },
+        },
+        Case {
+            spec: seeded(presets::geolife_like(), 0.2, 3),
+            digests: Digests {
+                csv: 0x3e452a5361be9ac1,
+                report: 0xafd43992ab89ebf9,
+                classes: 0x550bc859019f7ccf,
+                singles: 0x418388399bb2a127,
+            },
+        },
+        Case {
+            spec: seeded(presets::cabspotting_like(), 0.02, 4),
+            digests: Digests {
+                csv: 0xa86912667af6ad00,
+                report: 0x8228ff36ccd99a13,
+                classes: 0x54cb0965296632ad,
+                singles: 0x99b0f0895cbf5fac,
+            },
         },
     ]
 }
@@ -79,8 +148,8 @@ fn check(executor: ExecutorKind, threads: usize) {
         let got = output_digests(&report);
         assert_eq!(
             got, case.digests,
-            "{} (seed {}) on {executor} x{threads}: published digests {:#018x}/{:#018x}",
-            case.spec.name, case.spec.seed, got.0, got.1
+            "{} (seed {}) on {executor} x{threads}: published digests {:#018x?}",
+            case.spec.name, case.spec.seed, got
         );
     }
 }
