@@ -1,0 +1,31 @@
+//! Persistent pools join their workers on drop.
+//!
+//! This test counts the threads of its own process, so it lives in a
+//! binary of its own: any other test running beside it in the same
+//! binary could spawn threads between the two counts.
+
+#[cfg(target_os = "linux")]
+#[test]
+fn persistent_pool_does_not_leak_threads() {
+    use mood_core::{Executor, PersistentPoolExecutor};
+
+    fn thread_count() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .map(|dir| dir.count())
+            .unwrap_or(0)
+    }
+
+    // Let unrelated test threads settle, then cycle pools: the thread
+    // count after N create/use/drop cycles must not trend upward.
+    let before = thread_count();
+    for _ in 0..16 {
+        let pool = PersistentPoolExecutor::new(4);
+        pool.for_each_index(64, &|_| {});
+        drop(pool);
+    }
+    let after = thread_count();
+    assert!(
+        after <= before + 2,
+        "thread count grew from {before} to {after} across pool cycles"
+    );
+}
