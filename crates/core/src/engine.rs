@@ -1,3 +1,4 @@
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -9,11 +10,11 @@ use rand::SeedableRng;
 use mood_attacks::{
     ApAttack, Attack, AttackScratch, AttackSuite, PitAttack, PoiAttack, ProfileStore, StoreCounters,
 };
-use mood_lppm::{enumerate_compositions, Composition, GeoI, Hmc, Lppm, Trl};
+use mood_lppm::{arrangements, Composition, GeoI, Hmc, Lppm, Trl};
 use mood_metrics::spatio_temporal_distortion_bounded;
 use mood_trace::{Dataset, Record, Trace};
 
-use crate::exec::{self, CandidateJob, Executor, SequentialExecutor};
+use crate::exec::{self, Executor, SequentialExecutor};
 use crate::{
     FineGrainedStats, MoodConfig, ProtectedTrace, ProtectionOutcome, UserClass, UserProtection,
 };
@@ -41,11 +42,11 @@ impl CandidateScratch {
 }
 
 /// A recycling pool of [`CandidateScratch`] values, shared by every
-/// candidate batch the engine runs.
+/// level of every trie walk the engine runs.
 ///
 /// Worker-slot scratch from [`exec::map_indexed_with`] lives only for
-/// one batch; this pool is what carries the warmed-up buffers *across*
-/// batches (and across users, when many pipeline workers drive the same
+/// one level; this pool is what carries the warmed-up buffers *across*
+/// levels (and across users, when many pipeline workers drive the same
 /// engine). Peak pool size is bounded by the peak number of concurrent
 /// workers touching the engine. The reuse counters are the observable
 /// half of the zero-allocation claim: they count candidate evaluations
@@ -170,9 +171,10 @@ pub struct EngineBuilder {
 /// Stage-name table for the engine's optional per-stage observer
 /// ([`EngineBuilder::stage_observer`]), in pipeline order. Indices into
 /// this table are what the engine records under; note that
-/// `candidate_eval` runs *inside* the search stages (and `fine_grained`
-/// re-enters them per sub-trace), so the totals overlap hierarchically
-/// rather than summing to wall time.
+/// `candidate_eval` (one observation per trie level, counting its
+/// nodes) runs *inside* the search stages (and `fine_grained` re-enters
+/// them per sub-trace), so the totals overlap hierarchically rather
+/// than summing to wall time.
 pub const ENGINE_STAGES: [&str; 5] = [
     "raw_check",
     "search_single",
@@ -198,13 +200,6 @@ impl LppmSet {
         match self {
             LppmSet::Owned(v) => v.is_empty(),
             LppmSet::Shared(s) => s.is_empty(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            LppmSet::Owned(v) => v.len(),
-            LppmSet::Shared(s) => s.len(),
         }
     }
 
@@ -336,9 +331,9 @@ impl EngineBuilder {
     /// [`MoodEngine::protect_user`] call may fully score (deadline-aware
     /// graceful degradation; default: unlimited).
     ///
-    /// The budget is consumed in job order — the same order every
-    /// executor backend reports verdicts in — so the cut point is a pure
-    /// function of `(budget, candidates scored so far)` and a replayed
+    /// The budget is consumed in variant order — singles, then chains
+    /// shorter-first — so the cut point is a pure function of
+    /// `(budget, candidates scored so far)` and a replayed
     /// request degrades identically on any backend and thread count.
     /// Candidates past the cut are skipped whole, never partially
     /// scored: the scratch contract is untouched. A call that exhausts
@@ -371,17 +366,17 @@ impl EngineBuilder {
             return Err(EngineError::EmptyLppmSet);
         }
         self.config.check().map_err(EngineError::InvalidConfig)?;
-        let max_len = self.config.max_composition_len.min(self.lppms.len());
         let base = self.lppms.into_shared();
-        let compositions = if max_len >= 2 {
-            enumerate_compositions(&base, 2, max_len)
-        } else {
-            Vec::new()
-        };
+        let paths = arrangements(base.len(), 1, self.config.max_composition_len);
+        let compositions = paths[base.len()..]
+            .iter()
+            .map(|path| Composition::new(path.iter().map(|&i| Arc::clone(&base[i])).collect()))
+            .collect();
         Ok(MoodEngine {
             suite: self.suite,
             base,
             compositions,
+            trie: TrieNode::link(&paths),
             config: self.config,
             executor: self.executor,
             scratch: ScratchPool::new(),
@@ -417,6 +412,8 @@ pub struct MoodEngine {
     suite: Arc<AttackSuite>,
     base: Arc<[Arc<dyn Lppm>]>,
     compositions: Vec<Composition>,
+    /// The prefix trie of the search space, indexed by variant.
+    trie: Vec<TrieNode>,
     config: MoodConfig,
     executor: Arc<dyn Executor>,
     scratch: ScratchPool,
@@ -425,9 +422,59 @@ pub struct MoodEngine {
     obs: Option<Arc<StageAgg>>,
 }
 
+/// One variant of the search space as a node of the prefix trie of
+/// base-LPPM paths: singles are the roots, and a chain extends the
+/// chain one shorter that it starts with.
+struct TrieNode {
+    /// Index of the base LPPM the node applies (its path's last).
+    stage: usize,
+    /// Variant index of the prefix it extends; `None` for a single.
+    parent: Option<usize>,
+    /// Smallest variant index that extends this node, if any.
+    first_child: Option<usize>,
+}
+
+impl TrieNode {
+    /// Links `paths`, given in variant order (every prefix before its
+    /// extensions), into a trie.
+    fn link(paths: &[Vec<usize>]) -> Vec<TrieNode> {
+        let index: HashMap<&[usize], usize> = paths
+            .iter()
+            .enumerate()
+            .map(|(k, path)| (path.as_slice(), k))
+            .collect();
+        let mut trie: Vec<TrieNode> = paths
+            .iter()
+            .map(|path| {
+                let (&stage, prefix) = path.split_last().expect("paths are never empty");
+                TrieNode {
+                    stage,
+                    parent: (!prefix.is_empty()).then(|| index[prefix]),
+                    first_child: None,
+                }
+            })
+            .collect();
+        for k in (0..trie.len()).rev() {
+            if let Some(p) = trie[k].parent {
+                trie[p].first_child = Some(k);
+            }
+        }
+        trie
+    }
+}
+
+/// One evaluated trie node: its output, while a pending level extends
+/// it or it may still win, and its distortion when it is resilient and
+/// was not pruned by the incumbent.
+#[derive(Default)]
+struct Node {
+    trace: Option<Trace>,
+    distortion: Option<f64>,
+}
+
 /// Per-`protect_user` candidate budget: how many variants may still be
-/// fully scored, and whether the cut has already fired. Consumed in job
-/// order, so the skipped set is identical on every backend.
+/// fully scored, and whether the cut has already fired. Consumed in
+/// variant order, so the skipped set is identical on every backend.
 struct BudgetState {
     remaining: usize,
     exhausted: bool,
@@ -443,6 +490,14 @@ impl BudgetState {
 
     fn unlimited() -> Self {
         Self::new(usize::MAX)
+    }
+
+    /// Grants the first `min(wanted, remaining)` of `wanted` variants.
+    fn grant(&mut self, wanted: usize) -> usize {
+        let granted = wanted.min(self.remaining);
+        self.exhausted |= granted < wanted;
+        self.remaining -= granted;
+        granted
     }
 }
 
@@ -543,8 +598,9 @@ impl MoodEngine {
     /// warmed-up scratch buffer instead of a fresh allocation — the
     /// observable evidence that the candidate hot path stops allocating
     /// once the per-worker arenas have warmed up. (A buffer goes cold
-    /// only when a resilient candidate keeps it for publication — the
-    /// rare, once-per-search-stage case.)
+    /// only when a candidate keeps it: a resilient one, for publication
+    /// or as a parent, or a rejected chain the next trie level extends.
+    /// A rejected single kept as a parent takes a copy instead.)
     pub fn scratch_reuses(&self) -> u64 {
         self.scratch.reuses.load(Ordering::Relaxed)
     }
@@ -562,7 +618,7 @@ impl MoodEngine {
     /// cell-sequences served from the per-worker `(grid, trace)` cache
     /// (exact, comparison-verified) instead of recomputed. Counters are
     /// drained from scratches as leases return to the pool, so in-flight
-    /// work surfaces at the next candidate-batch boundary.
+    /// work surfaces at the next trie-level boundary.
     pub fn raster_cache_hits(&self) -> u64 {
         self.scratch.raster_hits.load(Ordering::Relaxed)
     }
@@ -590,7 +646,9 @@ impl MoodEngine {
 
     /// Deterministic RNG for one (trace, variant) application: derived
     /// from the engine seed, the trace's user, its start time (so each
-    /// sub-trace draws fresh noise) and the variant index.
+    /// sub-trace draws fresh noise) and the variant index. A variant
+    /// index names one path of the composition trie, so this is also
+    /// the stream of that path's last stage.
     fn variant_rng(&self, trace: &Trace, variant_idx: usize) -> StdRng {
         let mut h = self.config.seed;
         for v in [
@@ -604,32 +662,45 @@ impl MoodEngine {
         StdRng::seed_from_u64(h)
     }
 
-    /// Evaluates one candidate job on a scratch arena: applies the
-    /// variant under its derived RNG stream — writing the protected
-    /// records into the scratch buffer instead of a fresh allocation —
-    /// and judges it against the attack suite on the scratch's attack
-    /// arena (features rebuilt into per-worker buffers, profile matching
-    /// pruned by the running best, rasterizations shared between the
-    /// LPPM fast paths and the attacks). Rejected candidates hand their
-    /// buffer back to the scratch for the next candidate; only a
-    /// resilient candidate (the rare case) keeps its buffer, inside the
-    /// returned [`ProtectedTrace`].
+    /// Name of variant `k`: a base LPPM's, or a chain's ("TRL→HMC").
+    fn variant_name(&self, k: usize) -> &str {
+        match k.checked_sub(self.base.len()) {
+            Some(chain) => self.compositions[chain].name(),
+            None => self.base[k].name(),
+        }
+    }
+
+    /// Evaluates trie node `k` on a scratch arena: applies the node's
+    /// last base mechanism to `input` (its parent's output, or the raw
+    /// `trace` for a single) under the node's RNG stream — writing into
+    /// the scratch buffer instead of a fresh allocation — and judges
+    /// the result against the attack suite on the scratch's attack
+    /// arena (features rebuilt into per-worker buffers, profile
+    /// matching pruned by the running best, rasterizations shared
+    /// between the LPPM fast paths and the attacks).
     ///
-    /// With an `incumbent` — the bits of the smallest distortion a
-    /// resilient candidate of the same batch has completed, shared by
-    /// the batch's workers — a resilient candidate's distortion is
-    /// abandoned as soon as it is strictly worse, and the candidate is
-    /// dropped (`None`) like a rejected one; a completed distortion
-    /// lowers the incumbent. Every candidate still gets its attack
-    /// verdict first.
-    fn evaluate_candidate(
+    /// A resilient candidate's distortion from `trace` is abandoned as
+    /// soon as it is strictly worse than `incumbent` — the bits of the
+    /// smallest distortion a resilient candidate of the same search
+    /// stage has completed — and a completed one lowers the incumbent.
+    /// Every candidate still gets its attack verdict first.
+    ///
+    /// The output is kept when `keep` (a pending level extends it) or
+    /// when it may still win. A rejected candidate hands its buffer
+    /// back to the scratch for the next one, unless it is a kept chain
+    /// (a kept single keeps a copy); a resilient one keeps it or,
+    /// pruned and no parent, drops it, as a losing resilient candidate
+    /// is dropped.
+    fn evaluate_node(
         &self,
         trace: &Trace,
-        job: CandidateJob<'_>,
+        input: &Trace,
+        k: usize,
+        keep: bool,
         scratch: &mut CandidateScratch,
-        incumbent: Option<&AtomicU64>,
-    ) -> Option<ProtectedTrace> {
-        scratch.rng = self.variant_rng(trace, job.variant_idx);
+        incumbent: &AtomicU64,
+    ) -> Node {
+        scratch.rng = self.variant_rng(trace, k);
         let mut buf = std::mem::take(&mut scratch.records);
         if buf.capacity() > 0 {
             self.scratch.reuses.fetch_add(1, Ordering::Relaxed);
@@ -637,8 +708,8 @@ impl MoodEngine {
         if scratch.attack.is_warm() {
             self.scratch.attack_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        job.lppm.protect_into_with(
-            trace,
+        self.base[self.trie[k].stage].protect_into_with(
+            input,
             &mut scratch.rng,
             &mut buf,
             scratch.attack.raster_mut(),
@@ -652,65 +723,34 @@ impl MoodEngine {
             .suite
             .protects_with(&candidate, trace.user(), &mut scratch.attack)
         {
-            scratch.records = candidate.into_records();
-            return None;
+            // A kept chain is always extended by the next level, so it
+            // takes the buffer. A single is extended only when no single
+            // is resilient, and the single stage is the whole search for
+            // most sub-traces, so a kept single is a copy and the
+            // worker's buffer stays warm for the next candidate.
+            let trace = if keep && self.trie[k].parent.is_some() {
+                Some(candidate)
+            } else {
+                let copy = keep.then(|| candidate.clone());
+                scratch.records = candidate.into_records();
+                copy
+            };
+            return Node {
+                trace,
+                distortion: None,
+            };
         }
         // Distortions are non-negative, so their bits order like their
         // values and `fetch_min` on the bits keeps the smallest.
-        let bound = incumbent.map_or(f64::INFINITY, |best| {
-            f64::from_bits(best.load(Ordering::Relaxed))
-        });
-        // A pruned candidate's buffer is dropped, as a losing resilient
-        // candidate's is, rather than recycled into the scratch.
-        let distortion = spatio_temporal_distortion_bounded(trace, &candidate, bound)?;
-        if let Some(best) = incumbent {
-            best.fetch_min(distortion.to_bits(), Ordering::Relaxed);
+        let bound = f64::from_bits(incumbent.load(Ordering::Relaxed));
+        let distortion = spatio_temporal_distortion_bounded(trace, &candidate, bound);
+        if let Some(d) = distortion {
+            incumbent.fetch_min(d.to_bits(), Ordering::Relaxed);
         }
-        Some(ProtectedTrace {
-            trace: candidate,
-            lppm: job.lppm.name().to_string(),
-            distortion_m: distortion,
-        })
-    }
-
-    /// Submits every candidate job to the engine's executor and returns
-    /// the verdicts in job order — independent of backend and thread
-    /// count, since each job's randomness is a pure function of its
-    /// variant index. Every resilient job is reported, with its full
-    /// distortion; only [`MoodEngine`]'s own selection prunes.
-    ///
-    /// Each worker slot evaluates its candidates on a scratch arena
-    /// leased from the engine's recycling pool, so the hot path reuses
-    /// protected-trace buffers and RNG state across candidates, batches
-    /// and users instead of allocating per candidate.
-    pub fn evaluate_candidates(
-        &self,
-        trace: &Trace,
-        jobs: &[CandidateJob<'_>],
-    ) -> Vec<Option<ProtectedTrace>> {
-        self.evaluate_batch(trace, jobs, None)
-    }
-
-    /// [`MoodEngine::evaluate_candidates`], optionally sharing an
-    /// incumbent distortion between the batch's workers (see
-    /// [`MoodEngine::evaluate_candidate`]).
-    fn evaluate_batch(
-        &self,
-        trace: &Trace,
-        jobs: &[CandidateJob<'_>],
-        incumbent: Option<&AtomicU64>,
-    ) -> Vec<Option<ProtectedTrace>> {
-        // One aggregated observation for the whole batch (count =
-        // candidates), never a per-candidate span: overhead stays
-        // bounded by batch count, not candidate count.
-        self.observe(STAGE_CANDIDATE_EVAL, jobs.len() as u64, || {
-            exec::map_indexed_with(
-                self.executor.as_ref(),
-                jobs.len(),
-                || self.scratch.take(),
-                |lease, i| self.evaluate_candidate(trace, jobs[i], lease.scratch_mut(), incumbent),
-            )
-        })
+        Node {
+            trace: (keep || distortion.is_some()).then_some(candidate),
+            distortion,
+        }
     }
 
     /// Runs `f`, attributing its wall time to `stage` when an observer
@@ -727,102 +767,110 @@ impl MoodEngine {
         }
     }
 
-    /// Tries every variant in `variants`, keeping the resilient one
-    /// ranked first by `(distortion, variant_idx)` (Best LPPM Selection,
-    /// §3.5; the index tiebreak pins ties to the earliest variant, which
-    /// is what the sequential reference scan selected). Variant indices
-    /// offset by `idx_base` keep single and composition RNG streams
-    /// disjoint.
+    /// One search stage of the trie walk: evaluates nodes
+    /// `nodes.len()..end` (every parent among them is already in
+    /// `nodes`) and returns the resilient one ranked first by
+    /// `(distortion, variant_idx)` (Best LPPM Selection, §3.5; the
+    /// index tiebreak pins ties to the earliest variant).
     ///
-    /// The batch's workers share the smallest completed resilient
+    /// Nodes run level by level, each level on the engine's executor
+    /// with the results in variant order, so nothing depends on backend
+    /// or thread count: every node's randomness is a pure function of
+    /// its variant index. A node's output is kept while a node below
+    /// `keep_end` extends it.
+    ///
+    /// The stage's workers share the smallest completed resilient
     /// distortion as an incumbent, and a resilient candidate stops
     /// computing its distortion once it is strictly worse. The winner
     /// is never strictly worse than any incumbent, so its distortion is
     /// always computed in full, and a tie is never pruned: the choice
     /// and its published bytes are those of a full scan, under any
     /// schedule.
-    fn best_resilient<'a, I>(
+    fn search_stage(
         &self,
         trace: &Trace,
-        variants: I,
-        idx_base: usize,
-        budget: &mut BudgetState,
-    ) -> Option<ProtectedTrace>
-    where
-        I: IntoIterator<Item = &'a dyn Lppm>,
-    {
-        let jobs: Vec<CandidateJob<'_>> = variants
-            .into_iter()
-            .enumerate()
-            .map(|(i, lppm)| CandidateJob {
-                variant_idx: idx_base + i,
-                lppm,
-            })
-            .collect();
-        // Deadline-aware cut: only the first `remaining` jobs (in job
-        // order) are submitted, so the set of candidates ever scored is
-        // a pure function of the budget — identical across executor
-        // backends and thread counts. Skipped candidates are skipped
-        // whole; nothing is ever partially scored.
-        let allowed = jobs.len().min(budget.remaining);
-        if allowed < jobs.len() {
-            budget.exhausted = true;
-        }
-        budget.remaining -= allowed;
+        nodes: &mut Vec<Node>,
+        end: usize,
+        keep_end: usize,
+    ) -> Option<ProtectedTrace> {
+        let start = nodes.len();
         let incumbent = AtomicU64::new(f64::INFINITY.to_bits());
-        self.evaluate_batch(trace, &jobs[..allowed], Some(&incumbent))
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, verdict)| verdict.map(|p| (i, p)))
-            .min_by(|(ia, a), (ib, b)| {
-                a.distortion_m
-                    .total_cmp(&b.distortion_m)
-                    .then_with(|| ia.cmp(ib))
-            })
-            .map(|(_, p)| p)
+        while nodes.len() < end {
+            // A level: the longest run of nodes whose parents are done.
+            let lo = nodes.len();
+            let hi = (lo..end)
+                .find(|&k| self.trie[k].parent.is_some_and(|p| p >= lo))
+                .unwrap_or(end);
+            let parents: &[Node] = nodes;
+            // One aggregated observation per level (count = nodes),
+            // never a per-candidate span: overhead stays bounded by
+            // level count, not candidate count.
+            let level = self.observe(STAGE_CANDIDATE_EVAL, (hi - lo) as u64, || {
+                exec::map_indexed_with(
+                    self.executor.as_ref(),
+                    hi - lo,
+                    || self.scratch.take(),
+                    |lease, i| {
+                        let node = &self.trie[lo + i];
+                        let input = node.parent.map_or(trace, |p| {
+                            parents[p]
+                                .trace
+                                .as_ref()
+                                .expect("a parent keeps its output")
+                        });
+                        let keep = node.first_child.is_some_and(|c| c < keep_end);
+                        self.evaluate_node(
+                            trace,
+                            input,
+                            lo + i,
+                            keep,
+                            lease.scratch_mut(),
+                            &incumbent,
+                        )
+                    },
+                )
+            });
+            // Nothing above this level is a parent any more.
+            for node in nodes.iter_mut().filter(|n| n.distortion.is_none()) {
+                node.trace = None;
+            }
+            nodes.extend(level);
+        }
+        let (k, distortion) = (start..end)
+            .filter_map(|k| nodes[k].distortion.map(|d| (k, d)))
+            .min_by(|(ka, a), (kb, b)| a.total_cmp(b).then_with(|| ka.cmp(kb)))?;
+        Some(ProtectedTrace {
+            trace: nodes[k].trace.take().expect("a candidate keeps its output"),
+            lppm: self.variant_name(k).to_string(),
+            distortion_m: distortion,
+        })
     }
 
     /// Single-LPPM stage (Algorithm 1 lines 4–14): the resilient single
     /// LPPM with the lowest distortion, if any.
     pub fn search_single(&self, trace: &Trace) -> Option<ProtectedTrace> {
-        self.search_single_in(trace, &mut BudgetState::unlimited())
-    }
-
-    fn search_single_in(&self, trace: &Trace, budget: &mut BudgetState) -> Option<ProtectedTrace> {
         self.observe(STAGE_SEARCH_SINGLE, 1, || {
-            self.best_resilient(trace, self.base.iter().map(|l| l as &dyn Lppm), 0, budget)
-        })
-    }
-
-    /// Composition stage (lines 16–26): the resilient composition with
-    /// the lowest distortion, if any.
-    ///
-    /// Note: the paper's line 26 reads `argmax M`; we interpret `M`
-    /// uniformly as a distortion to minimize (the paper's own §3.5:
-    /// "the lower the distortion the better"), for singles and
-    /// compositions alike.
-    pub fn search_composition(&self, trace: &Trace) -> Option<ProtectedTrace> {
-        self.search_composition_in(trace, &mut BudgetState::unlimited())
-    }
-
-    fn search_composition_in(
-        &self,
-        trace: &Trace,
-        budget: &mut BudgetState,
-    ) -> Option<ProtectedTrace> {
-        self.observe(STAGE_SEARCH_COMPOSITION, 1, || {
-            self.best_resilient(
-                trace,
-                self.compositions.iter().map(|c| c as &dyn Lppm),
-                self.base.len(),
-                budget,
-            )
+            self.search_stage(trace, &mut Vec::new(), self.base.len(), 0)
         })
     }
 
     /// The whole-trace Multi-LPPM Composition Search: singles first,
     /// compositions only when no single works (Algorithm 1's ordering).
     /// The boolean reports whether a composition was needed.
+    ///
+    /// One walk over the prefix trie of the composition space does
+    /// both stages. Variant indices list singles first, then chains
+    /// shorter-first and lexicographic — a breadth-first order of the
+    /// trie. Each node applies only its last base mechanism, to its
+    /// parent's output (singles take the raw trace), under the RNG
+    /// stream of its own variant index. The singles' outputs are kept,
+    /// so that when none of them is resilient the composition stage
+    /// (lines 16–26) extends them instead of re-running them.
+    ///
+    /// Note: the paper's line 26 reads `argmax M`; we interpret `M`
+    /// uniformly as a distortion to minimize (the paper's own §3.5:
+    /// "the lower the distortion the better"), for singles and
+    /// compositions alike.
     pub fn search_whole(&self, trace: &Trace) -> Option<(ProtectedTrace, bool)> {
         self.search_whole_in(trace, &mut BudgetState::unlimited())
     }
@@ -832,10 +880,24 @@ impl MoodEngine {
         trace: &Trace,
         budget: &mut BudgetState,
     ) -> Option<(ProtectedTrace, bool)> {
-        if let Some(p) = self.search_single_in(trace, budget) {
+        let singles = budget.grant(self.base.len());
+        // Where the composition stage's budget would cut, should it
+        // run: singles no chain below it extends are not kept.
+        let chain_end = singles + self.compositions.len().min(budget.remaining);
+        let mut nodes = Vec::with_capacity(chain_end);
+        let single = self.observe(STAGE_SEARCH_SINGLE, 1, || {
+            self.search_stage(trace, &mut nodes, singles, chain_end)
+        });
+        if let Some(p) = single {
             return Some((p, false));
         }
-        self.search_composition_in(trace, budget).map(|p| (p, true))
+        // Fewer singles than base LPPMs means the budget is spent and
+        // no chain is granted, so `singles` is where the chains start.
+        let chain_end = singles + budget.grant(self.compositions.len());
+        self.observe(STAGE_SEARCH_COMPOSITION, 1, || {
+            self.search_stage(trace, &mut nodes, chain_end, chain_end)
+        })
+        .map(|p| (p, true))
     }
 
     /// Recursive fine-grained protection (lines 27–36): whole-trace
@@ -880,8 +942,8 @@ impl MoodEngine {
         // way (a union over attacks and strict scratch/plain verdict
         // equivalence), so determinism is unaffected. The sequential
         // variant scores on a pooled scratch, which also pre-warms the
-        // rasterization cache for the raw trace the HMC-first candidate
-        // variants are about to re-raster. It is deliberately outside
+        // rasterization cache for the raw trace the HMC single is about
+        // to re-raster. It is deliberately outside
         // the candidate budget: the user's taxonomy class must not
         // depend on how much compute the request was granted.
         let naturally_protected = self.observe(STAGE_RAW_CHECK, 1, || {
@@ -957,6 +1019,7 @@ fn mix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::ExecutorKind;
+    use mood_lppm::arrangements;
     use mood_metrics::spatio_temporal_distortion;
     use mood_trace::{TimeDelta, UserId};
 
@@ -1312,7 +1375,7 @@ mod tests {
 
     #[test]
     fn budgeted_protection_is_identical_across_executors() {
-        // The cut point is a prefix in deterministic job order, so the
+        // The cut point is a prefix in deterministic variant order, so the
         // degraded result must not depend on backend or thread count.
         let (bg, test) = mini_world();
         let reference = EngineBuilder::paper_default(&bg)
@@ -1353,29 +1416,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn evaluate_candidates_reports_in_job_order() {
-        let (bg, test) = mini_world();
-        let engine = MoodEngine::paper_default(&bg);
-        let trace = test.iter().next().unwrap();
-        let jobs: Vec<crate::CandidateJob<'_>> = engine
-            .lppms()
+    /// One variant as the stage-by-stage reference computes it.
+    struct RefVariant {
+        name: String,
+        trace: Trace,
+        distortion: Option<f64>,
+    }
+
+    /// Every variant of `engine`'s search space built the slow way,
+    /// one chain at a time with nothing shared: stage j of a chain
+    /// takes stage j−1's output (stage 1 the raw trace) through the
+    /// plain `protect` path and draws from `variant_rng` of the index
+    /// of the chain's length-j prefix. Each variant carries its full
+    /// distortion when it resists the suite.
+    fn reference_variants(engine: &MoodEngine, trace: &Trace) -> Vec<RefVariant> {
+        let base = engine.lppms();
+        let paths = arrangements(base.len(), 1, engine.config().max_composition_len);
+        let index = |prefix: &[usize]| paths.iter().position(|p| p == prefix).unwrap();
+        paths
             .iter()
-            .enumerate()
-            .map(|(i, l)| crate::CandidateJob {
-                variant_idx: i,
-                lppm: l as &dyn Lppm,
+            .map(|path| {
+                let mut out = trace.clone();
+                for j in 1..=path.len() {
+                    let mut rng = engine.variant_rng(trace, index(&path[..j]));
+                    out = base[path[j - 1]].protect(&out, &mut rng);
+                }
+                let names: Vec<&str> = path.iter().map(|&i| base[i].name()).collect();
+                let resilient = engine.suite().protects(&out, trace.user());
+                RefVariant {
+                    name: names.join("→"),
+                    distortion: resilient.then(|| spatio_temporal_distortion(trace, &out)),
+                    trace: out,
+                }
             })
-            .collect();
-        let verdicts = engine.evaluate_candidates(trace, &jobs);
-        assert_eq!(verdicts.len(), jobs.len());
-        // Resilient verdicts must agree with a direct re-derivation.
-        for (i, v) in verdicts.iter().enumerate() {
-            let mut rng = engine.variant_rng(trace, i);
-            let cand = engine.lppms()[i].protect(trace, &mut rng);
-            let resilient = engine.suite().protects(&cand, trace.user());
-            assert_eq!(v.is_some(), resilient, "variant {i}");
+            .collect()
+    }
+
+    /// Exhaustive Best LPPM Selection over `variants[range]`: the
+    /// resilient variant ranked first by `(distortion, index)`.
+    fn exhaustive_best(
+        variants: &[RefVariant],
+        range: std::ops::Range<usize>,
+    ) -> Option<ProtectedTrace> {
+        range
+            .filter_map(|k| variants[k].distortion.map(|d| (k, d)))
+            .min_by(|(ka, a), (kb, b)| a.total_cmp(b).then_with(|| ka.cmp(kb)))
+            .map(|(k, d)| ProtectedTrace {
+                trace: variants[k].trace.clone(),
+                lppm: variants[k].name.clone(),
+                distortion_m: d,
+            })
+    }
+
+    /// The whole-trace search under a candidate budget, on the
+    /// reference: singles, then — when none is resilient — chains, each
+    /// stage cut to a prefix in variant order.
+    fn reference_search(
+        engine: &MoodEngine,
+        trace: &Trace,
+        budget: usize,
+    ) -> Option<(ProtectedTrace, bool)> {
+        let variants = reference_variants(engine, trace);
+        let n = engine.lppms().len();
+        let singles = n.min(budget);
+        let chains = (variants.len() - n).min(budget - singles);
+        exhaustive_best(&variants, 0..singles)
+            .map(|p| (p, false))
+            .or_else(|| exhaustive_best(&variants, n..n + chains).map(|p| (p, true)))
+    }
+
+    fn bits_key(p: ProtectedTrace) -> (String, u64, Trace) {
+        (p.lppm, p.distortion_m.to_bits(), p.trace)
+    }
+
+    /// Whole traces and their first two days: sub-traces are where most
+    /// searches reach the composition stage.
+    fn search_inputs(test: &Dataset) -> Vec<Trace> {
+        test.iter()
+            .take(4)
+            .flat_map(|t| {
+                let days = t.windows(TimeDelta::from_hours(24));
+                std::iter::once(t.clone()).chain(days.into_iter().take(2))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn trie_walk_matches_the_stage_by_stage_reference() {
+        let (bg, test) = mini_world();
+        let sequential = MoodEngine::paper_default(&bg);
+        let parallel = EngineBuilder::paper_default(&bg)
+            .executor(ExecutorKind::Persistent.build(2))
+            .build()
+            .unwrap();
+        assert_eq!(sequential.compositions().len(), 12);
+        let mut compositions = 0;
+        for trace in search_inputs(&test) {
+            // Unlimited; 3 + 4, which cuts level 2; 3 + 8, which cuts
+            // level 3.
+            for budget in [usize::MAX, 7, 11] {
+                let want = reference_search(&sequential, &trace, budget);
+                compositions += usize::from(want.as_ref().is_some_and(|(_, c)| *c));
+                let want = want.map(|(p, c)| (bits_key(p), c));
+                for engine in [&sequential, &parallel] {
+                    let got = engine
+                        .search_whole_in(&trace, &mut BudgetState::new(budget))
+                        .map(|(p, c)| (bits_key(p), c));
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} x{} diverged on user {} under budget {budget}",
+                        engine.executor().name(),
+                        engine.executor().max_threads(),
+                        trace.user()
+                    );
+                }
+            }
         }
+        assert!(compositions > 0, "no search reached a composition winner");
     }
 
     #[test]
@@ -1388,55 +1546,41 @@ mod tests {
             .unwrap();
         let mut pruned = 0;
         for engine in [&sequential, &parallel] {
-            let singles: Vec<&dyn Lppm> = engine.lppms().iter().map(|l| l as &dyn Lppm).collect();
-            let compositions: Vec<&dyn Lppm> = engine
-                .compositions()
-                .iter()
-                .map(|c| c as &dyn Lppm)
-                .collect();
-            for trace in test.iter().take(4) {
-                for (variants, idx_base) in [(&singles, 0), (&compositions, singles.len())] {
-                    let jobs: Vec<CandidateJob<'_>> = variants
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &lppm)| CandidateJob {
-                            variant_idx: idx_base + i,
-                            lppm,
-                        })
-                        .collect();
-                    // The public batch prunes nothing: every resilient
-                    // job is reported, in job order, with its full STD.
-                    let full = engine.evaluate_candidates(trace, &jobs);
-                    assert_eq!(full.len(), jobs.len());
-                    for p in full.iter().flatten() {
-                        assert_eq!(
-                            p.distortion_m.to_bits(),
-                            spatio_temporal_distortion(trace, &p.trace).to_bits()
-                        );
+            let n = engine.lppms().len();
+            let total = n + engine.compositions().len();
+            for trace in search_inputs(&test) {
+                let reference = reference_variants(engine, &trace);
+                // Both stages, each against an exhaustive scan of the
+                // reference — the chains even when a single wins.
+                let mut nodes = Vec::new();
+                let single = engine.search_stage(&trace, &mut nodes, n, total);
+                // Selection took the winning single's output, which the
+                // chains still extend.
+                if let Some(p) = &single {
+                    let k = (0..n).find(|&k| engine.variant_name(k) == p.lppm).unwrap();
+                    nodes[k].trace = Some(p.trace.clone());
+                }
+                let chain = engine.search_stage(&trace, &mut nodes, total, total);
+                assert_eq!(
+                    single.map(bits_key),
+                    exhaustive_best(&reference, 0..n).map(bits_key),
+                    "singles of user {}",
+                    trace.user()
+                );
+                assert_eq!(
+                    chain.map(bits_key),
+                    exhaustive_best(&reference, n..total).map(bits_key),
+                    "chains of user {}",
+                    trace.user()
+                );
+                // A completed distortion is the full one, bit for bit;
+                // a resilient node without one was pruned.
+                for (node, r) in nodes.iter().zip(&reference) {
+                    match (node.distortion, r.distortion) {
+                        (Some(d), want) => assert_eq!(Some(d.to_bits()), want.map(f64::to_bits)),
+                        (None, Some(_)) => pruned += 1,
+                        (None, None) => {}
                     }
-                    let resilient = full.iter().flatten().count();
-                    let want = full
-                        .into_iter()
-                        .enumerate()
-                        .filter_map(|(i, v)| v.map(|p| (i, p)))
-                        .min_by(|(ia, a), (ib, b)| {
-                            a.distortion_m
-                                .total_cmp(&b.distortion_m)
-                                .then_with(|| ia.cmp(ib))
-                        })
-                        .map(|(_, p)| p);
-                    let got = engine.best_resilient(
-                        trace,
-                        variants.iter().copied(),
-                        idx_base,
-                        &mut BudgetState::unlimited(),
-                    );
-                    let key = |p: ProtectedTrace| (p.lppm, p.distortion_m.to_bits(), p.trace);
-                    assert_eq!(got.map(key), want.map(key), "user {}", trace.user());
-
-                    let incumbent = AtomicU64::new(f64::INFINITY.to_bits());
-                    let kept = engine.evaluate_batch(trace, &jobs, Some(&incumbent));
-                    pruned += resilient - kept.iter().flatten().count();
                 }
             }
         }
@@ -1481,7 +1625,7 @@ mod tests {
         );
         // ...and the shared raster cache must have served repeats: the
         // raw trace is rasterized by the suite's AP profile and again by
-        // every HMC-first candidate variant.
+        // the HMC single.
         assert!(
             engine.raster_cache_misses() > 0,
             "raster cache never populated"

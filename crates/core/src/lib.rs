@@ -59,8 +59,8 @@ mod split;
 pub use config::MoodConfig;
 pub use engine::{EngineBuilder, EngineError, MoodEngine, ENGINE_STAGES};
 pub use exec::{
-    CandidateJob, Executor, ExecutorKind, PersistentPoolExecutor, ScopedPoolExecutor,
-    SequentialExecutor, WorkStealingExecutor,
+    Executor, ExecutorKind, PersistentPoolExecutor, ScopedPoolExecutor, SequentialExecutor,
+    WorkStealingExecutor,
 };
 pub use hybrid::HybridLppm;
 pub use mood_obs as obs;

@@ -2,7 +2,6 @@ use std::sync::Arc;
 
 use rand::RngCore;
 
-use mood_models::TraceRaster;
 use mood_trace::{Record, Trace};
 
 use crate::Lppm;
@@ -15,6 +14,13 @@ use crate::Lppm;
 ///
 /// The first mechanism in `parts` is applied first; order matters, just
 /// like function composition.
+///
+/// A `Composition` threads one RNG stream through all of its stages.
+/// MooD's engine does not run chains through it: it walks the prefix
+/// trie of the composition space, applying only a chain's last
+/// mechanism to its parent chain's output, and keys every stage's RNG
+/// on that stage's own prefix. The engine uses a `Composition` for its
+/// name and parts.
 ///
 /// # Examples
 ///
@@ -127,36 +133,6 @@ impl Lppm for Composition {
         }
         last.protect_into(current.as_ref().unwrap_or(trace), rng, out);
     }
-
-    /// Chained fast path: the shared rasterization cache is threaded
-    /// through **every** stage, so an HMC anywhere in the chain shares
-    /// rasterizations with the attack side (HMC-first chains re-raster
-    /// the raw trace the suite already scored).
-    fn protect_into_with(
-        &self,
-        trace: &Trace,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<Record>,
-        raster: &mut TraceRaster,
-    ) {
-        let (last, init) = self
-            .parts
-            .split_last()
-            .expect("compositions are never empty");
-        let mut current: Option<Trace> = None;
-        let mut buf = Vec::new();
-        for part in init {
-            let input = current.as_ref().unwrap_or(trace);
-            part.protect_into_with(input, rng, &mut buf, raster);
-            // protect_into yields exactly protect's records (time-sorted),
-            // so rebuilding the trace is an identity pass
-            current = Some(
-                Trace::new(input.user(), std::mem::take(&mut buf))
-                    .expect("LPPMs never produce an empty trace"),
-            );
-        }
-        last.protect_into_with(current.as_ref().unwrap_or(trace), rng, out, raster);
-    }
 }
 
 /// Enumerates every ordered composition of distinct mechanisms from
@@ -198,11 +174,35 @@ pub fn enumerate_compositions(
     min_len: usize,
     max_len: usize,
 ) -> Vec<Composition> {
-    assert!(!base.is_empty(), "need at least one base LPPM");
+    arrangements(base.len(), min_len, max_len)
+        .into_iter()
+        .map(|arrangement| Composition::new(arrangement.iter().map(|&i| base[i].clone()).collect()))
+        .collect()
+}
+
+/// The base-index paths of [`enumerate_compositions`]: every ordered
+/// arrangement of distinct indices in `0..n` with length in
+/// `[min_len, max_len]`, in the same order (shorter first, then
+/// lexicographic).
+///
+/// The order lists the prefix trie of the composition space breadth
+/// first: an arrangement's prefix one shorter always comes before it,
+/// and arrangements sharing a prefix are contiguous.
+///
+/// # Panics
+///
+/// Panics when `n` is zero, `min_len` is zero, or `min_len > max_len`.
+///
+/// ```
+/// let pairs = mood_lppm::arrangements(3, 1, 2);
+/// assert_eq!(pairs[..4], [vec![0], vec![1], vec![2], vec![0, 1]]);
+/// assert_eq!(pairs.len(), 3 + 6);
+/// ```
+pub fn arrangements(n: usize, min_len: usize, max_len: usize) -> Vec<Vec<usize>> {
+    assert!(n > 0, "need at least one base LPPM");
     assert!(min_len >= 1, "min_len must be at least 1");
     assert!(min_len <= max_len, "min_len must not exceed max_len");
-    let max_len = max_len.min(base.len());
-    let mut out = Vec::new();
+    let max_len = max_len.min(n);
     let mut stack: Vec<usize> = Vec::new();
     // Depth-first enumeration of arrangements, emitting by length order:
     // collect per length to keep "shorter first".
@@ -226,15 +226,8 @@ pub fn enumerate_compositions(
             stack.pop();
         }
     }
-    recurse(base.len(), max_len, &mut stack, &mut by_len);
-    for arrangements in by_len.iter().take(max_len + 1).skip(min_len) {
-        for arrangement in arrangements {
-            out.push(Composition::new(
-                arrangement.iter().map(|&i| base[i].clone()).collect(),
-            ));
-        }
-    }
-    out
+    recurse(n, max_len, &mut stack, &mut by_len);
+    by_len.into_iter().skip(min_len).flatten().collect()
 }
 
 /// The size of the full composition space for `n` base LPPMs:

@@ -42,7 +42,7 @@ pub mod lss;
 mod trl;
 
 pub use cloaking::SpatialCloaking;
-pub use composition::{composition_space_size, enumerate_compositions, Composition};
+pub use composition::{arrangements, composition_space_size, enumerate_compositions, Composition};
 pub use geo_i::GeoI;
 pub use hmc::Hmc;
 pub use trl::Trl;

@@ -96,8 +96,8 @@ fn cases() -> Vec<Case> {
         Case {
             spec: seeded(presets::privamov_like(), 0.3, 1),
             digests: Digests {
-                csv: 0x5d07e73a0d96a24c,
-                report: 0xf89306d9f202a06a,
+                csv: 0xd4a1ed5d2083213b,
+                report: 0x313179e150992a0a,
                 classes: 0x4ea4297d77f7af6f,
                 singles: 0x5d371d6b6027484d,
             },
@@ -105,8 +105,8 @@ fn cases() -> Vec<Case> {
         Case {
             spec: seeded(presets::mdc_like(), 0.1, 2),
             digests: Digests {
-                csv: 0x13df6cfcf2fba849,
-                report: 0x2bc9fbd8fd0e9ce1,
+                csv: 0xbe001cb2935bd9ff,
+                report: 0x03c7e87229497667,
                 classes: 0x64f93d03a4fb08ba,
                 singles: 0x2f2ccc76b8cd4dd6,
             },
@@ -114,8 +114,8 @@ fn cases() -> Vec<Case> {
         Case {
             spec: seeded(presets::geolife_like(), 0.2, 3),
             digests: Digests {
-                csv: 0x3e452a5361be9ac1,
-                report: 0xafd43992ab89ebf9,
+                csv: 0x965836daa2926117,
+                report: 0xc347a36eb03fcf7d,
                 classes: 0x550bc859019f7ccf,
                 singles: 0x418388399bb2a127,
             },
@@ -123,8 +123,8 @@ fn cases() -> Vec<Case> {
         Case {
             spec: seeded(presets::cabspotting_like(), 0.02, 4),
             digests: Digests {
-                csv: 0xa86912667af6ad00,
-                report: 0x8228ff36ccd99a13,
+                csv: 0x4cf0821b5055810e,
+                report: 0xb5aef1c3ffc11365,
                 classes: 0x54cb0965296632ad,
                 singles: 0x99b0f0895cbf5fac,
             },
