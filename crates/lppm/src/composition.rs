@@ -19,8 +19,7 @@ use crate::Lppm;
 /// MooD's engine does not run chains through it: it walks the prefix
 /// trie of the composition space, applying only a chain's last
 /// mechanism to its parent chain's output, and keys every stage's RNG
-/// on that stage's own prefix. The engine uses a `Composition` for its
-/// name and parts.
+/// on that stage's own prefix; a `Composition` only names the chain.
 ///
 /// # Examples
 ///
@@ -186,8 +185,7 @@ pub fn enumerate_compositions(
 /// lexicographic).
 ///
 /// The order lists the prefix trie of the composition space breadth
-/// first: an arrangement's prefix one shorter always comes before it,
-/// and arrangements sharing a prefix are contiguous.
+/// first: an arrangement's prefix one shorter always comes before it.
 ///
 /// # Panics
 ///
