@@ -466,7 +466,6 @@ impl TrieNode {
 /// One evaluated trie node: its output, while a pending level extends
 /// it or it may still win, and its distortion when it is resilient and
 /// was not pruned by the incumbent.
-#[derive(Default)]
 struct Node {
     trace: Option<Trace>,
     distortion: Option<f64>,
