@@ -16,6 +16,10 @@
 //! compositions draw their noise, for one, alters only what
 //! multi-LPPM and fine-grained users publish.
 //!
+//! A third pin covers the service: the request and response bodies of
+//! a fixed `POST /v1/protect` script, so the wire codec is held to the
+//! same bytes as the protection it carries.
+//!
 //! A change that alters a digest alters what MooD publishes. Such a
 //! change updates the digest in the same commit and says why in
 //! CHANGES.md; a refactor or an optimisation never touches this file.
@@ -23,6 +27,9 @@
 use mood_core::{
     protect_dataset_with, publish, EngineBuilder, ExecutorKind, MoodEngine, ProtectionOutcome,
     ProtectionReport,
+};
+use mood_serve::{
+    request_seed, EngineTemplate, ProtectRequest, ProtectResponse, ProtectResult, Response,
 };
 use mood_synth::{presets, DatasetSpec};
 use mood_trace::{io as trace_io, TimeDelta};
@@ -162,4 +169,55 @@ fn sequential_output_matches_committed_digests() {
 #[test]
 fn persistent_output_matches_committed_digests() {
     check(ExecutorKind::Persistent, 2);
+}
+
+/// The server seed of the pinned request script.
+const SERVER_SEED: u64 = 0x5eed_0001;
+
+/// Digests of the bytes `mood serve` reads and writes for one fixed
+/// request script: the first three user-days of every privamov-like
+/// ×0.3 (seed 1) test user, sent as `POST /v1/protect` bodies with
+/// request ids 0, 1, 2, … in that order. Each request body must also
+/// parse back to an equal request.
+#[test]
+fn served_bytes_match_committed_digests() {
+    let mut spec = presets::privamov_like().scaled(0.3);
+    spec.seed = 1;
+    let (background, test) = spec
+        .generate()
+        .split_chronological(TimeDelta::from_days(15));
+    let template = EngineTemplate::paper_default(&background);
+    let (mut requests, mut responses) = (Vec::new(), Vec::new());
+    let days = test
+        .iter()
+        .flat_map(|trace| trace.windows(TimeDelta::from_days(1)).into_iter().take(3));
+    for (request_id, trace) in (0u64..).zip(days) {
+        let request = ProtectRequest {
+            request_id,
+            trace,
+            budget: None,
+        };
+        let body = serde_json::to_string(&request).expect("serializable request");
+        let parsed: ProtectRequest = serde_json::from_str(&body).expect("request parses back");
+        assert_eq!(parsed, request, "request {request_id} round-trips");
+        requests.extend_from_slice(body.as_bytes());
+        let seed = request_seed(SERVER_SEED, request_id);
+        let outcome = template.engine_for(seed).protect_user(&request.trace);
+        let response = Response::json(
+            200,
+            &ProtectResponse {
+                request_id,
+                seed,
+                result: ProtectResult::from_outcome(&outcome),
+            },
+        );
+        assert_eq!(response.status, 200, "request {request_id} serializes");
+        responses.extend_from_slice(&response.body);
+    }
+    let got = (fnv1a64(&requests), fnv1a64(&responses));
+    assert_eq!(
+        got,
+        (0xec125b2005050365, 0x7b9c662b2f35ee30),
+        "served digests (requests, responses) {got:#018x?}"
+    );
 }
