@@ -184,45 +184,6 @@ impl AttackSuite {
         scratch.mark_used();
     }
 
-    /// [`AttackSuite::protects`], with the attacks evaluated on
-    /// concurrent scoped threads.
-    ///
-    /// The verdict is the union over attacks, so it is identical to the
-    /// sequential one — only wall-clock changes. The first attack runs
-    /// on the calling thread while the rest are spawned; a successful
-    /// re-identification flips a shared flag that not-yet-started
-    /// attacks check so they can skip their work. This trades the
-    /// sequential short-circuit for latency: prefer plain
-    /// [`AttackSuite::protects`] when calls are already fanned out
-    /// across users (the batch pipeline's regime), and this method when
-    /// single-trace latency matters more than total work.
-    pub fn protects_concurrent(&self, trace: &Trace, true_user: UserId) -> bool {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        if self.attacks.len() <= 1 {
-            return self.protects(trace, true_user);
-        }
-        let hit = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let (first, rest) = self.attacks.split_first().expect("suites are never empty");
-            for attack in rest {
-                let hit = &hit;
-                scope.spawn(move || {
-                    if hit.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if attack.re_identifies(trace, true_user) {
-                        hit.store(true, Ordering::Relaxed);
-                    }
-                });
-            }
-            if first.re_identifies(trace, true_user) {
-                hit.store(true, Ordering::Relaxed);
-            }
-        });
-        !hit.load(Ordering::Relaxed)
-    }
-
     /// Evaluates a whole (possibly obfuscated) dataset: each trace is
     /// attacked under its recorded user as ground truth.
     ///

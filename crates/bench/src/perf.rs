@@ -407,6 +407,13 @@ mod tests {
     }
 
     #[test]
+    fn committed_baseline_parses_and_rewrites_byte_identically() {
+        let text = include_str!("../baseline/BENCH_throughput.json");
+        let doc: BenchBaseline = serde_json::from_str(text).expect("committed baseline parses");
+        assert_eq!(serde_json::to_string_pretty(&doc).unwrap(), text);
+    }
+
+    #[test]
     fn delta_report_matches_rows_by_executor_and_threads() {
         let base = baseline_with(vec![row("persistent", 4, 10.0), row("steal", 4, 8.0)]);
         let cur = baseline_with(vec![row("persistent", 4, 12.0), row("pool", 4, 9.0)]);

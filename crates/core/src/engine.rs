@@ -936,23 +936,15 @@ impl MoodEngine {
     /// Protects one user's trace end to end (Algorithm 1 plus the §4.2
     /// experimental protocol) and classifies the user.
     pub fn protect_user(&self, trace: &Trace) -> UserProtection {
-        // The raw-trace check runs the attacks concurrently when the
-        // executor has threads to spare; the verdict is the same either
-        // way (a union over attacks and strict scratch/plain verdict
-        // equivalence), so determinism is unaffected. The sequential
-        // variant scores on a pooled scratch, which also pre-warms the
-        // rasterization cache for the raw trace the HMC single is about
-        // to re-raster. It is deliberately outside
-        // the candidate budget: the user's taxonomy class must not
-        // depend on how much compute the request was granted.
+        // The raw-trace check scores on a pooled scratch, which also
+        // pre-warms the rasterization cache for the raw trace the HMC
+        // single is about to re-raster. It is deliberately outside the
+        // candidate budget: the user's taxonomy class must not depend
+        // on how much compute the request was granted.
         let naturally_protected = self.observe(STAGE_RAW_CHECK, 1, || {
-            if self.executor.max_threads() > 1 {
-                self.suite.protects_concurrent(trace, trace.user())
-            } else {
-                let mut lease = self.scratch.take();
-                self.suite
-                    .protects_with(trace, trace.user(), &mut lease.scratch_mut().attack)
-            }
+            let mut lease = self.scratch.take();
+            self.suite
+                .protects_with(trace, trace.user(), &mut lease.scratch_mut().attack)
         });
 
         let mut budget = BudgetState::new(self.candidate_budget);

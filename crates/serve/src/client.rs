@@ -46,7 +46,7 @@ impl ClientResponse {
     ///
     /// Returns an error when the body is not valid JSON of shape `T`.
     pub fn json<T: Deserialize>(&self) -> io::Result<T> {
-        serde_json::from_reader(self.body.as_slice())
+        serde_json::from_slice(&self.body)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 }
@@ -174,8 +174,7 @@ impl Client {
     /// Returns the transport error, a serialization failure or a parse
     /// failure.
     pub fn post_json<T: Serialize>(&mut self, path: &str, value: &T) -> io::Result<ClientResponse> {
-        let mut body = Vec::with_capacity(256);
-        serde_json::to_writer(&mut body, value)
+        let body = serde_json::to_vec(value)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         self.request("POST", path, Some(&body))
     }

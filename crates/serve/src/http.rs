@@ -365,12 +365,10 @@ impl Response {
         }
     }
 
-    /// A JSON response, serialized straight into the body buffer (no
-    /// intermediate `String` — the shim's `to_writer` path).
+    /// A JSON response, serialized straight into the body buffer.
     pub fn json<T: Serialize>(status: u16, value: &T) -> Self {
-        let mut body = Vec::with_capacity(256);
-        match serde_json::to_writer(&mut body, value) {
-            Ok(()) => Self {
+        match serde_json::to_vec(value) {
+            Ok(body) => Self {
                 status,
                 content_type: "application/json",
                 body,

@@ -323,8 +323,7 @@ impl RetryClient {
     /// See [`RetryClient::request`]; additionally `InvalidData` when
     /// `value` fails to serialize.
     pub fn post_json<T: Serialize>(&mut self, path: &str, value: &T) -> io::Result<ClientResponse> {
-        let mut body = Vec::with_capacity(256);
-        serde_json::to_writer(&mut body, value)
+        let body = serde_json::to_vec(value)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         self.request("POST", path, Some(&body))
     }

@@ -631,10 +631,10 @@ fn handle_config(shared: &ServerShared) -> Response {
     )
 }
 
-/// Parses a JSON body (through the shim's `from_reader`), mapping
-/// failures to a 400.
+/// Parses a JSON body in place, mapping every failure — malformed or
+/// too deeply nested JSON, a shape mismatch — to a 400.
 fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, Response> {
-    serde_json::from_reader(body).map_err(|e| {
+    serde_json::from_slice(body).map_err(|e| {
         Response::json(
             400,
             &ErrorBody {
