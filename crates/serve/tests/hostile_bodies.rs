@@ -48,12 +48,6 @@ fn deeply_nested_bodies_get_400_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
-#[test]
-fn nesting_error_is_typed() {
-    let err = serde_json::from_slice::<serde_json::Value>(&brackets()).unwrap_err();
-    assert_eq!(err.classify(), serde_json::Category::Depth, "{err}");
-}
-
 /// A valid request: 1–24 records with full-precision coordinates,
 /// any replay id, with or without a budget.
 fn arb_request() -> impl Strategy<Value = ProtectRequest> {
